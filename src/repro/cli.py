@@ -64,7 +64,7 @@ from .attacks.sidechannel import (
     FlushReloadChannel,
     PrimeProbeChannel,
 )
-from .core.policy import EVALUATION_MODES, ProtectionMode, SecurityConfig
+from .core.policy import PAPER_DEFENSES, SecurityConfig
 from .experiments import (
     SweepEngine,
     run_area_study,
@@ -416,7 +416,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     reports = run_modes(args.benchmarks[0], machine=machine,
                         scale=args.scale)
-    origin = reports[ProtectionMode.ORIGIN]
+    origin = reports["origin"]
     print(compare_table(list(reports.values()), origin))
     return 0
 
@@ -425,7 +425,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .robustness import FaultPlan
 
     machine = _machine(args)
-    modes = list(args.modes) if args.modes else list(EVALUATION_MODES)
+    modes = list(args.modes) if args.modes else list(PAPER_DEFENSES)
     fault_plan = None
     if args.inject:
         fault_plan = FaultPlan.moderate(seed=args.fault_seed)
@@ -444,7 +444,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = engine.run(
         progress=lambda row: print(
-            f"  {row.benchmark}/{row.defense_name}: {row.status} "
+            f"  {row.benchmark}/{row.defense}: {row.status} "
             f"({row.cycles} cycles, {row.attempts} attempt(s))",
             file=sys.stderr,
         )

@@ -120,7 +120,9 @@ def security_from_dict(spec: Dict[str, Any]) -> "SecurityConfig":
 
     The defense is named by ``defense`` (any registered zoo name or
     alias; the legacy key ``mode`` is accepted as a deprecated
-    spelling) and the remaining keys are the mechanism knobs::
+    spelling, and conflicting values of both raise a
+    :class:`~repro.errors.DefenseConfigError`) and the remaining keys
+    are the mechanism knobs::
 
         {"defense": "cache_hit_tpbuf", "icache_filter": true}
     """
@@ -133,12 +135,6 @@ def security_from_dict(spec: Dict[str, Any]) -> "SecurityConfig":
     if unknown:
         raise ConfigError(
             f"security: unknown fields {sorted(unknown)}")
-    if "defense" in spec and "mode" in spec \
-            and spec["defense"] != spec["mode"]:
-        raise ConfigError(
-            "security: give either 'defense' or the deprecated "
-            "'mode', not conflicting values of both")
-    name = spec.get("defense", spec.get("mode", "origin"))
     overrides: Dict[str, Any] = {
         key: spec[key]
         for key in ("clear_on_resolve", "branch_only_matrix",
@@ -147,13 +143,14 @@ def security_from_dict(spec: Dict[str, Any]) -> "SecurityConfig":
     }
     if "lru_policy" in spec:
         overrides["lru_policy"] = SpeculativeLRUPolicy(spec["lru_policy"])
-    return SecurityConfig.for_defense(name, **overrides)
+    return SecurityConfig(defense=spec.get("defense", ""),
+                          mode=spec.get("mode"), **overrides)
 
 
 def security_to_dict(security: "SecurityConfig") -> Dict[str, Any]:
     """Inverse of :func:`security_from_dict` (canonical names only)."""
     return {
-        "defense": security.defense_name,
+        "defense": security.defense,
         "lru_policy": security.lru_policy.value,
         "clear_on_resolve": security.clear_on_resolve,
         "branch_only_matrix": security.branch_only_matrix,

@@ -1,14 +1,15 @@
 """Conditional Speculation: the paper's primary contribution.
 
-- :mod:`policy` - protection modes and the knobs of the mechanism.
+- :mod:`policy` - the configuration of the mechanism and the paper's
+  mode spellings.
 - :mod:`defense` - the pluggable :class:`Defense` strategy interface
-  and the registered defense zoo (paper modes + literature schemes).
+  and the registered defense zoo (paper modes + literature schemes);
+  its default miss filter is the Cache-hit + TPBuf decision of
+  Sections V.C / V.D (Table II).
 - :mod:`security_matrix` - the NxN security dependence matrix that
   lives in the issue queue (Section V.B).
 - :mod:`tpbuf` - the Trusted Page Buffer and S-Pattern detection
   (Section V.D).
-- :mod:`filters` - the hazard-filter decision logic combining the
-  Cache-hit filter and TPBuf (Sections V.C / V.D, Table II).
 - :mod:`icache_filter` - the ICache-hit filter extension (Section VII.B).
 - :mod:`area_model` - analytic area/timing model standing in for the
   paper's RTL synthesis (Section VI.E).
@@ -18,15 +19,14 @@ from .defense import (
     DEFENSE_REGISTRY,
     Defense,
     DefenseConfigError,
+    MissVerdict,
     create_defense,
-    defense_for_config,
     defense_names,
     normalize_defense_name,
     register_defense,
 )
 from .security_matrix import SecurityDependenceMatrix
 from .tpbuf import TPBuf, TPBufEntry
-from .filters import HazardFilters, MissVerdict
 from .icache_filter import ICacheHitFilter
 from .area_model import (
     AreaReport,
@@ -45,14 +45,12 @@ __all__ = [
     "Defense",
     "DefenseConfigError",
     "create_defense",
-    "defense_for_config",
     "defense_names",
     "normalize_defense_name",
     "register_defense",
     "SecurityDependenceMatrix",
     "TPBuf",
     "TPBufEntry",
-    "HazardFilters",
     "MissVerdict",
     "ICacheHitFilter",
     "AreaReport",

@@ -2,9 +2,8 @@
 
 The paper evaluates exactly one mechanism family — Conditional
 Speculation's security dependence matrix plus the Cache-hit and TPBuf
-hazard filters — and the pipeline used to hard-wire those choices as
-``ProtectionMode`` branches.  This module turns the defense into an
-explicit strategy object so new schemes from the wider literature
+hazard filters.  This module turns the defense into an explicit
+strategy object so new schemes from the wider literature
 (NDA-style delay variants, InvisiSpec, STT, SLH) plug into the same
 pipeline without touching it.
 
@@ -13,9 +12,10 @@ must consult it (``uses_matrix``, ``tags_suspect``, ``gates_issue``,
 ``filters_at_cache``, ``wants_events``, ``taints_writeback``) and
 implements the hooks for those points.  The processor reads the flags
 once at construction and only calls a hook on paths the defense opted
-into, so the four paper modes — re-expressed here as registry entries —
-make byte-identical decisions to the old enum branches and stay
-cycle-exact against ``tests/data/cycles_golden.json``.
+into.  The four paper modes are registry entries like any other and
+stay cycle-exact against ``tests/data/cycles_golden.json``; the
+paper's miss filter (Table II) is the default
+:meth:`Defense.judge_suspect_load`.
 
 Every entry also declares its hardware area through the analytic model
 in :mod:`repro.core.area_model`, which is what the
@@ -40,6 +40,7 @@ See ``docs/defenses.md`` for the full contract.
 """
 from __future__ import annotations
 
+from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Tuple, Type, Union
 
 from ..errors import DefenseConfigError
@@ -49,8 +50,7 @@ from .area_model import (
     matrix_area_mm2,
     tpbuf_area_mm2,
 )
-from .filters import MissVerdict
-from .policy import ProtectionMode, SecurityConfig
+from .policy import ProtectionMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..isa.program import Program
@@ -63,13 +63,23 @@ __all__ = [
     "DEFENSE_REGISTRY",
     "Defense",
     "DefenseConfigError",
-    "base_mode_for",
+    "MissVerdict",
     "create_defense",
-    "defense_for_config",
     "defense_names",
+    "legacy_mode",
     "normalize_defense_name",
     "register_defense",
 ]
+
+
+class MissVerdict(Enum):
+    """Decision for a suspect load at the L1D."""
+
+    PROCEED = "proceed"   # safe: refill as a normal miss
+    BLOCK = "block"       # unsafe: discard the request, re-issue later
+    #: InvisiSpec-style: read memory at miss latency but change no
+    #: cache state; the line is exposed (filled) at commit.
+    INVISIBLE = "invisible"
 
 
 class Defense:
@@ -86,8 +96,6 @@ class Defense:
     - ``summary`` / ``provenance`` — documentation strings.
     - ``kind`` — ``"hardware"`` or ``"software"`` (software defenses
       rewrite the program and add no hardware).
-    - ``base_mode`` — the closest legacy :class:`ProtectionMode`, used
-      as the serialization anchor for records that predate the zoo.
 
     Wiring flags (each enables exactly one pipeline consultation):
 
@@ -125,7 +133,6 @@ class Defense:
     summary: str = ""
     provenance: str = ""
     kind: str = "hardware"
-    base_mode: ProtectionMode = ProtectionMode.ORIGIN
 
     uses_matrix: bool = False
     tags_suspect: bool = False
@@ -144,18 +151,6 @@ class Defense:
     def attach(self, cpu: "Processor") -> None:
         """Initialize per-run state; called once at the end of
         ``Processor.__init__``."""
-
-    def validate(self, config: SecurityConfig,
-                 machine: "MachineParams") -> None:
-        """Reject invalid config/machine combinations with a
-        :class:`DefenseConfigError`."""
-        if config.defense and config.mode is not self.base_mode:
-            raise DefenseConfigError(
-                f"defense '{self.name}' anchors to mode "
-                f"'{self.base_mode.value}' but the config says "
-                f"'{config.mode.value}'; build configs with "
-                "SecurityConfig.for_defense()"
-            )
 
     def transform_program(self, program: "Program") -> "Program":
         """Software defenses rewrite the program here; hardware
@@ -191,13 +186,25 @@ class Defense:
         """Fate of a suspect load at the L1D (``filters_at_cache``):
         ``PROCEED`` (fill normally), ``BLOCK`` (discard, re-issue once
         :meth:`still_blocked` clears), or ``INVISIBLE`` (read memory
-        without changing cache state; expose at commit)."""
-        decision = cpu.filters.judge_suspect_load(
-            l1_hit,
-            inst.tpbuf_index if inst.tpbuf_index is not None else 0,
-            inst.ppn if inst.ppn is not None else 0,
-        )
-        return decision.verdict
+        without changing cache state; expose at commit).
+
+        The default is the paper's Table II: an L1D hit cannot change
+        cache content and proceeds (the Cache-hit filter); a miss
+        proceeds only if the TPBuf, when the core has one, finds no
+        S-Pattern; every other miss is blocked."""
+        stats = cpu.filter_stats
+        stats.incr("suspect_accesses")
+        if l1_hit:
+            stats.incr("filtered_by_cache_hit")
+            return MissVerdict.PROCEED
+        tpbuf = cpu.tpbuf
+        if tpbuf is not None and tpbuf.is_safe(
+                inst.tpbuf_index if inst.tpbuf_index is not None else 0,
+                inst.ppn if inst.ppn is not None else 0):
+            stats.incr("filtered_by_tpbuf")
+            return MissVerdict.PROCEED
+        stats.incr("blocked_misses")
+        return MissVerdict.BLOCK
 
     def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
         """Must a filter-blocked load keep waiting in the IQ?"""
@@ -279,20 +286,24 @@ def normalize_defense_name(
     return key
 
 
-def create_defense(name: Union[str, ProtectionMode]) -> Defense:
+def create_defense(name: str) -> Defense:
     """A fresh instance of the named defense (per-run state unshared)."""
     return DEFENSE_REGISTRY[normalize_defense_name(name)]()
 
 
-def base_mode_for(name: Union[str, ProtectionMode]) -> ProtectionMode:
-    """The legacy mode a defense anchors its records to."""
-    return DEFENSE_REGISTRY[normalize_defense_name(name)].base_mode
-
-
-def defense_for_config(config: SecurityConfig) -> Defense:
-    """The defense instance a :class:`SecurityConfig` names (its
-    explicit ``defense`` entry, else the legacy mode)."""
-    return create_defense(config.defense_name)
+def legacy_mode(name: str) -> str:
+    """The paper-mode name written to the ``"mode"`` field of reports
+    and checkpoint rows, derived from the defense's wiring flags: no
+    matrix is ``origin``, a TPBuf is ``cache_hit_tpbuf``, blocking at
+    issue is ``baseline`` and any other matrix user is ``cache_hit``."""
+    cls = DEFENSE_REGISTRY[normalize_defense_name(name)]
+    if not cls.uses_matrix:
+        return "origin"
+    if cls.uses_tpbuf:
+        return "cache_hit_tpbuf"
+    if cls.blocks_at_issue:
+        return "baseline"
+    return "cache_hit"
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,6 @@ class OriginDefense(Defense):
     name = "origin"
     summary = "unprotected out-of-order core"
     provenance = "Li et al., HPCA 2019 (Origin column)"
-    base_mode = ProtectionMode.ORIGIN
 
     def area_mm2(self, machine: "MachineParams") -> float:
         return 0.0
@@ -320,7 +330,6 @@ class BaselineDefense(Defense):
     name = "baseline"
     summary = "block every security-dependent memory access at issue"
     provenance = "Li et al., HPCA 2019 (Baseline column)"
-    base_mode = ProtectionMode.BASELINE
     uses_matrix = True
     tags_suspect = True
     blocks_at_issue = True
@@ -339,7 +348,6 @@ class CacheHitDefense(Defense):
     name = "cache_hit"
     summary = "suspect L1D hits proceed; misses discard and re-issue"
     provenance = "Li et al., HPCA 2019, Section V.C"
-    base_mode = ProtectionMode.CACHE_HIT
     uses_matrix = True
     tags_suspect = True
     filters_at_cache = True
@@ -358,7 +366,6 @@ class CacheHitTPBufDefense(CacheHitDefense):
     name = "cache_hit_tpbuf"
     summary = "cache-hit filter + TPBuf S-Pattern miss filter"
     provenance = "Li et al., HPCA 2019, Section V.D"
-    base_mode = ProtectionMode.CACHE_HIT_TPBUF
     uses_tpbuf = True
 
     def area_mm2(self, machine: "MachineParams") -> float:
@@ -422,23 +429,12 @@ class DelayOnMissDefense(_BranchAgeTracker):
     name = "delay_on_miss"
     summary = "suspect = behind unresolved branch; L1D miss delays"
     provenance = "Weisse et al. NDA, MICRO 2019 / Sakalis et al., ISCA 2019"
-    base_mode = ProtectionMode.ORIGIN
     tags_suspect = True
     filters_at_cache = True
     covers_sources = ("branch", "indirect", "return")
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
         return self._control_speculative(inst.seq)
-
-    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
-                           l1_hit: bool) -> MissVerdict:
-        stats = cpu.filters.stats
-        stats.incr("suspect_accesses")
-        if l1_hit:
-            stats.incr("filtered_by_cache_hit")
-            return MissVerdict.PROCEED
-        stats.incr("blocked_misses")
-        return MissVerdict.BLOCK
 
     def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
         return self._control_speculative(inst.seq)
@@ -457,7 +453,6 @@ class EagerDelayDefense(_BranchAgeTracker):
     name = "eager_delay"
     summary = "no memory issues behind an unresolved branch"
     provenance = "eager variant of NDA (Weisse et al., MICRO 2019)"
-    base_mode = ProtectionMode.ORIGIN
     gates_issue = True
     covers_sources = ("branch", "indirect", "return")
 
@@ -497,7 +492,6 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
     provenance = ("store-set closure of the NDA-family V4 blind spot "
                   "(this repro, via repro.analysis.memdep; cf. "
                   "Kiriansky & Waldspurger, 2018)")
-    base_mode = ProtectionMode.ORIGIN
     covers_sources = ("branch", "indirect", "return", "store")
     coverage_needs_memdep = True
 
@@ -548,7 +542,6 @@ class InvisiSpecDefense(Defense):
     name = "invisispec"
     summary = "suspect misses stay invisible; expose line at commit"
     provenance = "Yan et al. InvisiSpec, MICRO 2018"
-    base_mode = ProtectionMode.CACHE_HIT
     uses_matrix = True
     tags_suspect = True
     filters_at_cache = True
@@ -557,7 +550,7 @@ class InvisiSpecDefense(Defense):
 
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
                            l1_hit: bool) -> MissVerdict:
-        stats = cpu.filters.stats
+        stats = cpu.filter_stats
         stats.incr("suspect_accesses")
         if l1_hit:
             stats.incr("filtered_by_cache_hit")
@@ -597,7 +590,6 @@ class STTDefense(Defense):
     name = "stt"
     summary = "taint suspect load results; gate tainted-address memory"
     provenance = "Yu et al. STT, MICRO 2019"
-    base_mode = ProtectionMode.CACHE_HIT
     uses_matrix = True
     tags_suspect = True
     gates_issue = True
@@ -687,7 +679,6 @@ class SLHDefense(Defense):
     summary = "static scan + fence before every transmit sink"
     provenance = "Kiriansky & Waldspurger / LLVM SLH, 2018"
     kind = "software"
-    base_mode = ProtectionMode.ORIGIN
     covers_sources = ("branch", "indirect", "return", "store")
 
     def transform_program(self, program: "Program") -> "Program":

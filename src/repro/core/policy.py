@@ -9,54 +9,44 @@ The four modes carry the paper's evaluation names (Section VI.A):
   are discarded and re-issued once the dependence clears.
 - ``CACHE_HIT_TPBUF`` - as above, but a suspect L1D miss that does not
   match the S-Pattern (per TPBuf) proceeds as a normal miss.
+
+The enum is only a spelling: each value is the name of the
+``repro.core.defense`` registry entry that implements the mode, and a
+:class:`SecurityConfig` stores that name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..memory.replacement import SpeculativeLRUPolicy
-
+from dataclasses import InitVar, dataclass
 from enum import Enum
+from typing import Optional, Tuple
+
+from ..errors import DefenseConfigError
+from ..memory.replacement import SpeculativeLRUPolicy
 
 
 class ProtectionMode(Enum):
-    """Which Conditional Speculation mechanism is active."""
+    """The paper's four configurations, spelled as an enum."""
 
     ORIGIN = "origin"
     BASELINE = "baseline"
     CACHE_HIT = "cache_hit"
     CACHE_HIT_TPBUF = "cache_hit_tpbuf"
 
-    @property
-    def uses_matrix(self) -> bool:
-        """Whether the security dependence matrix is active at all."""
-        return self is not ProtectionMode.ORIGIN
-
-    @property
-    def uses_tpbuf(self) -> bool:
-        return self is ProtectionMode.CACHE_HIT_TPBUF
-
-    @property
-    def blocks_at_issue(self) -> bool:
-        """BASELINE blocks suspect instructions in the issue stage;
-        the filter modes let them issue and decide at the cache."""
-        return self is ProtectionMode.BASELINE
-
 
 @dataclass(frozen=True)
 class SecurityConfig:
     """All knobs of the Conditional Speculation mechanism.
 
-    The defense itself is referenced *by name* (:attr:`defense`, a
+    The defense is referenced *by name* (:attr:`defense`, a
     ``repro.core.defense`` registry key) so configs stay picklable for
-    spawn-based parallel executors; an empty name means "derive from
-    the legacy :attr:`mode`".  Build zoo configs with
-    :meth:`for_defense` — it anchors :attr:`mode` to the defense's
-    base mode so old records keep deserializing.
+    spawn-based parallel executors.  Any accepted spelling — a
+    :class:`ProtectionMode`, a registry name or an alias — is
+    normalized to the canonical name on construction, so configs for
+    the same defense compare and hash equal.  ``mode=`` is an
+    init-only spelling of the same field.
     """
 
-    mode: ProtectionMode = ProtectionMode.ORIGIN
-    #: Registry name of the active defense ("" = derive from ``mode``).
+    #: Registry name of the active defense (canonical after __init__).
     defense: str = ""
     #: LRU-metadata policy for speculative L1D hits (Section VII.A).
     lru_policy: SpeculativeLRUPolicy = SpeculativeLRUPolicy.NORMAL
@@ -69,48 +59,47 @@ class SecurityConfig:
     branch_only_matrix: bool = False
     #: Section VII.B extension: stall unsafe NPC fetches that miss L1I.
     icache_filter: bool = False
+    #: Init-only spelling of :attr:`defense`.
+    mode: InitVar[Optional[ProtectionMode]] = None
 
-    @property
-    def defense_name(self) -> str:
-        """Canonical name of the active defense."""
-        return self.defense or self.mode.value
+    def __post_init__(self, mode: Optional[ProtectionMode]) -> None:
+        from .defense import normalize_defense_name
+
+        name = normalize_defense_name(self.defense or mode or "origin")
+        if mode is not None and normalize_defense_name(mode) != name:
+            raise DefenseConfigError(
+                f"mode '{normalize_defense_name(mode)}' conflicts with "
+                f"defense '{name}'; give one of them"
+            )
+        object.__setattr__(self, "defense", name)
 
     @staticmethod
     def for_defense(name: object, **overrides: object) -> "SecurityConfig":
-        """Registry-driven constructor: a config running the named
-        defense (zoo names, legacy mode spellings and deprecated
-        aliases all accepted)."""
-        from .defense import base_mode_for, normalize_defense_name
-
-        canonical = normalize_defense_name(name)  # type: ignore[arg-type]
-        return SecurityConfig(
-            mode=base_mode_for(canonical), defense=canonical,
-            **overrides,  # type: ignore[arg-type]
-        )
+        """A config running the named defense (zoo names, legacy mode
+        spellings and deprecated aliases all accepted)."""
+        return SecurityConfig(defense=name, **overrides)  # type: ignore[arg-type]
 
     @staticmethod
     def origin() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.ORIGIN)
+        return SecurityConfig.for_defense("origin")
 
     @staticmethod
     def baseline() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.BASELINE)
+        return SecurityConfig.for_defense("baseline")
 
     @staticmethod
     def cache_hit() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.CACHE_HIT)
+        return SecurityConfig.for_defense("cache_hit")
 
     @staticmethod
     def cache_hit_tpbuf() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF)
+        return SecurityConfig.for_defense("cache_hit_tpbuf")
 
 
 #: The four evaluation configurations of the paper, in Figure-5 order.
 #: Deprecated for option parsing: enumerate the zoo with
 #: :func:`repro.core.defense.defense_names` instead.
-EVALUATION_MODES = (
-    ProtectionMode.ORIGIN,
-    ProtectionMode.BASELINE,
-    ProtectionMode.CACHE_HIT,
-    ProtectionMode.CACHE_HIT_TPBUF,
-)
+EVALUATION_MODES = tuple(ProtectionMode)
+
+#: The same four configurations as defense registry names.
+PAPER_DEFENSES: Tuple[str, ...] = tuple(mode.value for mode in EVALUATION_MODES)

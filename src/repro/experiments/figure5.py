@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..core.policy import EVALUATION_MODES, ProtectionMode
+from ..core.policy import PAPER_DEFENSES
 from ..params import MachineParams
 from ..stats import safe_div
 from ..workloads import spec_names
@@ -17,22 +17,22 @@ from .runner import SweepEngine, average, run_modes
 @dataclass
 class Figure5Row:
     benchmark: str
-    cycles: Dict[ProtectionMode, int]
+    #: defense name -> cycles.
+    cycles: Dict[str, int]
 
-    def normalized(self, mode: ProtectionMode) -> float:
-        return safe_div(self.cycles[mode],
-                        self.cycles[ProtectionMode.ORIGIN], 1.0)
+    def normalized(self, defense: str) -> float:
+        return safe_div(self.cycles[defense], self.cycles["origin"], 1.0)
 
-    def overhead(self, mode: ProtectionMode) -> float:
-        return self.normalized(mode) - 1.0
+    def overhead(self, defense: str) -> float:
+        return self.normalized(defense) - 1.0
 
 
 @dataclass
 class Figure5Result:
     rows: List[Figure5Row] = field(default_factory=list)
 
-    def average_overhead(self, mode: ProtectionMode) -> float:
-        return average(row.overhead(mode) for row in self.rows)
+    def average_overhead(self, defense: str) -> float:
+        return average(row.overhead(defense) for row in self.rows)
 
     def row(self, benchmark: str) -> Figure5Row:
         for row in self.rows:
@@ -41,9 +41,8 @@ class Figure5Result:
         raise KeyError(benchmark)
 
     def render(self) -> str:
-        modes = [mode for mode in EVALUATION_MODES
-                 if mode is not ProtectionMode.ORIGIN]
-        headers = ["benchmark"] + [mode.value for mode in modes]
+        modes = PAPER_DEFENSES[1:]
+        headers = ["benchmark", *modes]
         body = [
             [row.benchmark] + [f"{row.normalized(mode):.3f}"
                                for mode in modes]
@@ -61,8 +60,7 @@ class Figure5Result:
     def render_bars(self, width: int = 50) -> str:
         """ASCII bar-chart rendering of the normalized runtimes (the
         visual shape of the paper's Figure 5)."""
-        modes = [mode for mode in EVALUATION_MODES
-                 if mode is not ProtectionMode.ORIGIN]
+        modes = PAPER_DEFENSES[1:]
         glyphs = {"baseline": "#", "cache_hit": "+", "cache_hit_tpbuf": "="}
         peak = max(
             (row.normalized(mode) for row in self.rows for mode in modes),
@@ -75,8 +73,8 @@ class Figure5Result:
             lines.append(f"{row.benchmark}")
             for mode in modes:
                 value = row.normalized(mode)
-                bar = glyphs[mode.value] * int(round(value * scale))
-                lines.append(f"  {mode.value[:9]:<9} {bar} {value:.2f}")
+                bar = glyphs[mode] * int(round(value * scale))
+                lines.append(f"  {mode[:9]:<9} {bar} {value:.2f}")
         return "\n".join(lines)
 
 
@@ -102,8 +100,8 @@ def run_figure5(
             reports = run_modes(name, machine=machine, scale=scale)
             result.rows.append(Figure5Row(
                 benchmark=name,
-                cycles={mode: report.cycles
-                        for mode, report in reports.items()},
+                cycles={defense: report.cycles
+                        for defense, report in reports.items()},
             ))
         return result
 
@@ -113,15 +111,15 @@ def run_figure5(
                          workers=workers)
     sweep = engine.run()
     for name in engine.benchmarks:
-        reports = sweep.reports_for(name)
-        if len(reports) < len(engine.modes):
+        reports = sweep.reports_by_defense(name)
+        if len(reports) < len(engine.defenses):
             print(f"figure5: skipping {name}: incomplete reports "
-                  f"({len(reports)}/{len(engine.modes)} modes ok)",
+                  f"({len(reports)}/{len(engine.defenses)} modes ok)",
                   file=sys.stderr)
             continue
         result.rows.append(Figure5Row(
             benchmark=name,
-            cycles={mode: report.cycles
-                    for mode, report in reports.items()},
+            cycles={defense: report.cycles
+                    for defense, report in reports.items()},
         ))
     return result

@@ -4,7 +4,7 @@ Two layers:
 
 - :func:`run_benchmark` / :func:`run_modes` / :func:`suite_overheads` —
   the direct API the experiment modules and tests call.
-- :class:`SweepEngine` — a crash-safe sweep over (benchmark, mode)
+- :class:`SweepEngine` — a crash-safe sweep over (benchmark, defense)
   pairs: results stream to a JSON-lines checkpoint
   (:class:`~repro.robustness.checkpoint.CheckpointStore`) as they
   complete, ``resume=True`` skips pairs already recorded, transient
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from ..core.defense import base_mode_for, normalize_defense_name
-from ..core.policy import EVALUATION_MODES, ProtectionMode, SecurityConfig
-from ..errors import SimulationError
+from ..core.defense import legacy_mode, normalize_defense_name
+from ..core.policy import PAPER_DEFENSES, SecurityConfig
+from ..errors import DefenseConfigError, SimulationError
 from ..params import (
     DEFAULT_MAX_CYCLES,
     MachineParams,
@@ -101,39 +101,43 @@ def run_benchmark(
 def run_modes(
     name: str,
     machine: Optional[MachineParams] = None,
-    modes: Sequence[ProtectionMode] = EVALUATION_MODES,
+    modes: Sequence = PAPER_DEFENSES,
     scale: float = 1.0,
     options: Optional[RunOptions] = None,
-) -> Dict[ProtectionMode, SimReport]:
-    """Simulate one benchmark under several protection modes."""
-    return {
-        mode: run_benchmark(
-            name, machine=machine, security=SecurityConfig(mode=mode),
-            scale=scale, options=options,
+) -> Dict[str, SimReport]:
+    """Simulate one benchmark under several defenses (any spelling),
+    keyed by canonical defense name."""
+    reports: Dict[str, SimReport] = {}
+    for mode in modes:
+        security = SecurityConfig.for_defense(mode)
+        reports[security.defense] = run_benchmark(
+            name, machine=machine, security=security, scale=scale,
+            options=options,
         )
-        for mode in modes
-    }
+    return reports
 
 
 def suite_overheads(
-    modes: Sequence[ProtectionMode],
+    modes: Sequence,
     machine: Optional[MachineParams] = None,
     benchmarks: Optional[Iterable[str]] = None,
     scale: float = 1.0,
     isolate: bool = False,
-) -> Dict[str, Dict[ProtectionMode, float]]:
-    """Per-benchmark overhead (vs Origin) for each requested mode.
+) -> Dict[str, Dict[str, float]]:
+    """Per-benchmark overhead (vs Origin) for each requested defense,
+    keyed by canonical defense name.
 
     With ``isolate`` a benchmark whose simulation raises
     :class:`SimulationError` is skipped (with a stderr note) instead of
     aborting the whole suite.
     """
-    result: Dict[str, Dict[ProtectionMode, float]] = {}
+    defenses = [normalize_defense_name(mode) for mode in modes]
+    result: Dict[str, Dict[str, float]] = {}
     for name in benchmarks or spec_names():
         try:
             reports = run_modes(
-                name, machine=machine,
-                modes=[ProtectionMode.ORIGIN, *modes], scale=scale,
+                name, machine=machine, modes=["origin", *defenses],
+                scale=scale,
             )
         except SimulationError as exc:
             if not isolate:
@@ -141,10 +145,11 @@ def suite_overheads(
             print(f"suite_overheads: skipping {name}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        origin_cycles = reports[ProtectionMode.ORIGIN].cycles
+        origin_cycles = reports["origin"].cycles
         result[name] = {
-            mode: safe_div(reports[mode].cycles, origin_cycles, 1.0) - 1.0
-            for mode in modes
+            defense: safe_div(reports[defense].cycles, origin_cycles, 1.0)
+            - 1.0
+            for defense in defenses
         }
     return result
 
@@ -169,17 +174,15 @@ class SweepTask:
     """Spawn-safe description of one (benchmark, defense) run.
 
     Everything here pickles cleanly — the defense is carried *by
-    registry name* (plus its legacy base mode for old readers) — so
-    the same payload drives the in-process serial path and the
-    :class:`repro.perf.parallel.ParallelSweepExecutor` worker
-    processes — serial and parallel sweeps execute literally the same
+    registry name* — so the same payload drives the in-process serial
+    path and the :class:`repro.perf.parallel.ParallelSweepExecutor`
+    worker processes — serial and parallel sweeps execute literally the same
     code on the same inputs, which is what makes them byte-identical.
     """
 
     benchmark: str
-    mode: ProtectionMode
-    #: Defense registry name; "" = legacy, derive from ``mode``.
-    defense: str = ""
+    #: Canonical defense registry name.
+    defense: str
     machine: Optional[MachineParams] = None
     scale: float = 1.0
     options: RunOptions = RunOptions()
@@ -188,14 +191,8 @@ class SweepTask:
     run_fn: RunFn = run_benchmark
 
     @property
-    def defense_name(self) -> str:
-        return self.defense or self.mode.value
-
-    @property
     def security(self) -> SecurityConfig:
-        if self.defense:
-            return SecurityConfig.for_defense(self.defense)
-        return SecurityConfig(mode=self.mode)
+        return SecurityConfig.for_defense(self.defense)
 
 
 def execute_sweep_task(task: SweepTask) -> SweepRow:
@@ -224,11 +221,11 @@ def execute_sweep_task(task: SweepTask) -> SweepRow:
             if attempts <= task.retries:
                 time.sleep(backoff_delay(
                     task.backoff, attempts,
-                    f"{task.benchmark}/{task.defense_name}"))
+                    f"{task.benchmark}/{task.defense}"))
                 continue
             return SweepRow(
-                benchmark=task.benchmark, mode=task.mode,
-                defense=task.defense, status="failed",
+                benchmark=task.benchmark, defense=task.defense,
+                status="failed",
                 termination=getattr(
                     getattr(exc, "report", None), "termination", ""),
                 attempts=attempts,
@@ -237,8 +234,7 @@ def execute_sweep_task(task: SweepTask) -> SweepRow:
                 error=str(exc).splitlines()[0] if str(exc) else "",
             )
         return SweepRow(
-            benchmark=task.benchmark, mode=task.mode,
-            defense=task.defense, status="ok",
+            benchmark=task.benchmark, defense=task.defense, status="ok",
             termination=report.termination,
             cycles=report.cycles, committed=report.committed,
             attempts=attempts,
@@ -252,11 +248,9 @@ class SweepRow:
     """Result of one (benchmark, defense) pair — success or failure."""
 
     benchmark: str
-    mode: ProtectionMode
+    #: Canonical defense registry name.
+    defense: str
     status: str                    # "ok" | "failed"
-    #: Defense registry name ("" on legacy rows: the mode *is* the
-    #: defense).
-    defense: str = ""
     termination: str = ""
     cycles: int = 0
     committed: int = 0
@@ -272,15 +266,11 @@ class SweepRow:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def defense_name(self) -> str:
-        return self.defense or self.mode.value
-
     def to_record(self) -> Dict[str, object]:
         record: Dict[str, object] = {
             "benchmark": self.benchmark,
-            "mode": self.mode.value,
-            "defense": self.defense_name,
+            "mode": legacy_mode(self.defense),
+            "defense": self.defense,
             "status": self.status,
             "termination": self.termination,
             "cycles": self.cycles,
@@ -299,12 +289,10 @@ class SweepRow:
         report = None
         if isinstance(record.get("report"), dict):
             report = SimReport.from_dict(record["report"])  # type: ignore[arg-type]
-        mode = ProtectionMode(record.get("mode"))
-        defense = str(record.get("defense", "") or "")
         return cls(
             benchmark=str(record.get("benchmark", "")),
-            mode=mode,
-            defense=defense if defense != mode.value else "",
+            defense=normalize_defense_name(
+                str(record.get("defense") or record["mode"])),
             status=str(record.get("status", "failed")),
             termination=str(record.get("termination", "")),
             cycles=int(record.get("cycles", 0)),
@@ -333,42 +321,24 @@ class SweepResult:
     def resumed(self) -> int:
         return sum(1 for row in self.rows if row.resumed)
 
-    def row(self, benchmark: str, mode) -> Optional[SweepRow]:
-        """Find a row by legacy mode or by defense name."""
-        if isinstance(mode, ProtectionMode):
-            wanted = mode.value
-        else:
-            wanted = normalize_defense_name(mode)
+    def row(self, benchmark: str, defense) -> Optional[SweepRow]:
+        """Find a row by defense (any spelling)."""
+        wanted = normalize_defense_name(defense)
         for row in self.rows:
-            if row.benchmark == benchmark and row.defense_name == wanted:
+            if row.benchmark == benchmark and row.defense == wanted:
                 return row
         return None
 
-    def report_for(self, benchmark: str, mode) -> Optional[SimReport]:
-        row = self.row(benchmark, mode)
+    def report_for(self, benchmark: str, defense) -> Optional[SimReport]:
+        row = self.row(benchmark, defense)
         return row.report if row is not None and row.ok else None
-
-    def reports_for(self, benchmark: str) \
-            -> Dict[ProtectionMode, SimReport]:
-        """All successful reports of one benchmark, keyed by legacy
-        mode (zoo defenses sharing a base mode overwrite; use
-        :meth:`reports_by_defense` for the zoo)."""
-        reports: Dict[ProtectionMode, SimReport] = {}
-        for row in self.rows:
-            if row.benchmark == benchmark and row.ok \
-                    and row.report is not None:
-                reports[row.mode] = row.report
-        return reports
 
     def reports_by_defense(self, benchmark: str) -> Dict[str, SimReport]:
         """All successful reports of one benchmark, keyed by defense
-        name (the zoo-safe view)."""
-        reports: Dict[str, SimReport] = {}
-        for row in self.rows:
-            if row.benchmark == benchmark and row.ok \
-                    and row.report is not None:
-                reports[row.defense_name] = row.report
-        return reports
+        name."""
+        return {row.defense: row.report for row in self.rows
+                if row.benchmark == benchmark and row.ok
+                and row.report is not None}
 
     @property
     def benchmarks(self) -> List[str]:
@@ -388,7 +358,7 @@ class SweepResult:
             elif row.termination not in ("", "halt"):
                 note = (note + " " if note else "") + row.termination
             lines.append(
-                f"{row.benchmark:<14}{row.defense_name:<18}"
+                f"{row.benchmark:<14}{row.defense:<18}"
                 f"{row.status:<8}{row.cycles:>10}{row.attempts:>9}  "
                 f"{note}"
             )
@@ -403,12 +373,11 @@ class SweepResult:
 class SweepEngine:
     """Checkpointing, fault-tolerant sweep over benchmarks x defenses.
 
-    ``modes`` accepts legacy :class:`ProtectionMode` values, their
-    string spellings, and any defense-zoo registry name (aliases
-    included); everything is normalized to canonical defense names.
-    Checkpoint task keys are those names, which for the four paper
-    modes equal the old ``mode.value`` keys — existing checkpoints
-    resume unchanged.
+    ``modes`` accepts any defense spelling (registry names, aliases,
+    the paper's mode enum); everything is normalized to canonical
+    defense names.  Checkpoint task keys are those names, which for
+    the four paper modes equal the mode values older checkpoints
+    used — existing checkpoints resume unchanged.
 
     Each completed pair is durably appended to ``checkpoint`` before
     the next one starts, so a killed sweep resumes (``resume=True``)
@@ -429,7 +398,7 @@ class SweepEngine:
     def __init__(
         self,
         benchmarks: Optional[Sequence[str]] = None,
-        modes: Sequence = EVALUATION_MODES,
+        modes: Sequence = PAPER_DEFENSES,
         machine: Optional[MachineParams] = None,
         scale: float = 1.0,
         max_cycles: Optional[int] = None,
@@ -446,8 +415,6 @@ class SweepEngine:
         self.benchmarks = list(benchmarks) if benchmarks is not None \
             else spec_names()
         self.defenses = [normalize_defense_name(mode) for mode in modes]
-        #: Legacy view: the base mode of each requested defense.
-        self.modes = [base_mode_for(name) for name in self.defenses]
         self.machine = machine
         self.scale = scale
         self.options = RunOptions.coerce(
@@ -504,8 +471,7 @@ class SweepEngine:
         """The spawn-safe payload for one pair (shared by both paths)."""
         defense = normalize_defense_name(defense)
         return SweepTask(
-            benchmark=benchmark, mode=base_mode_for(defense),
-            defense=defense, machine=self.machine,
+            benchmark=benchmark, defense=defense, machine=self.machine,
             scale=self.scale,
             options=self.options.merged(
                 fault_plan=self._plan_for(benchmark, defense)),
@@ -532,7 +498,8 @@ class SweepEngine:
                     for key, record in records.items():
                         try:
                             done[key] = SweepRow.from_record(record)
-                        except (ValueError, KeyError):
+                        except (ValueError, KeyError,
+                                DefenseConfigError):
                             continue  # unreadable row: re-run the pair
                 else:
                     store.reset(self._config())
@@ -572,7 +539,7 @@ class SweepEngine:
         checkpoint the row, slot it into task order, report progress."""
         if store is not None:
             store.append(
-                CheckpointStore.task_key(row.benchmark, row.defense_name),
+                CheckpointStore.task_key(row.benchmark, row.defense),
                 row.to_record(),
             )
         slots[index] = row

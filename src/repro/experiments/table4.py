@@ -23,7 +23,7 @@ from ..attacks.sidechannel import (
     FlushReloadChannel,
     PrimeProbeChannel,
 )
-from ..core.policy import ProtectionMode, SecurityConfig
+from ..core.policy import PAPER_DEFENSES, SecurityConfig
 from ..params import MachineParams, paper_config
 from .formatting import text_table
 
@@ -69,12 +69,7 @@ SCENARIOS: List[tuple] = [
     ),
 ]
 
-_MODES = (
-    ProtectionMode.ORIGIN,
-    ProtectionMode.BASELINE,
-    ProtectionMode.CACHE_HIT,
-    ProtectionMode.CACHE_HIT_TPBUF,
-)
+_MODES = PAPER_DEFENSES
 
 
 @dataclass
@@ -84,16 +79,16 @@ class Table4Row:
     results: Dict[str, AttackResult]
     expected: Dict[str, bool]
 
-    def protected(self, mode: ProtectionMode) -> bool:
-        return not self.results[mode.value].success
+    def protected(self, mode: str) -> bool:
+        return not self.results[mode].success
 
     def matches_paper(self) -> bool:
         """Origin must leak; each mechanism must match the paper's
         check/cross for this scenario."""
-        if self.protected(ProtectionMode.ORIGIN):
+        if self.protected("origin"):
             return False
         return all(
-            self.protected(mode) == self.expected[mode.value]
+            self.protected(mode) == self.expected[mode]
             for mode in _MODES[1:]
         )
 
@@ -143,9 +138,9 @@ def run_table4(
         try:
             for mode in _MODES:
                 attack: AttackProgram = build(machine)
-                results[mode.value] = run_attack(
+                results[mode] = run_attack(
                     attack, machine=machine,
-                    security=SecurityConfig(mode=mode),
+                    security=SecurityConfig.for_defense(mode),
                 )
         except SimulationError as exc:
             if not isolate:

@@ -7,7 +7,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
-from ..core.policy import ProtectionMode
 from ..params import MachineParams
 from ..workloads import spec_names
 from .formatting import percent, text_table
@@ -89,17 +88,17 @@ def run_table5(
     result = Table5Result()
     for name in benchmarks or spec_names():
         if sweep is not None:
-            reports = sweep.reports_for(name)
+            reports = sweep.reports_by_defense(name)
             if len(reports) < 4:
                 print(f"table5: skipping {name}: incomplete reports",
                       file=sys.stderr)
                 continue
         else:
             reports = run_modes(name, machine=machine, scale=scale)
-        origin = reports[ProtectionMode.ORIGIN]
-        baseline = reports[ProtectionMode.BASELINE]
-        cachehit = reports[ProtectionMode.CACHE_HIT]
-        tpbuf = reports[ProtectionMode.CACHE_HIT_TPBUF]
+        origin = reports["origin"]
+        baseline = reports["baseline"]
+        cachehit = reports["cache_hit"]
+        tpbuf = reports["cache_hit_tpbuf"]
         result.rows.append(Table5Row(
             benchmark=name,
             l1_hit_rate=origin.l1d_hit_rate,

@@ -31,8 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Union
 
-from ..core.defense import defense_for_config
-from ..core.filters import HazardFilters, MissVerdict
+from ..core.defense import MissVerdict, create_defense
 from ..core.icache_filter import ICacheHitFilter
 from ..core.policy import SecurityConfig
 from ..core.tpbuf import TPBuf
@@ -121,11 +120,8 @@ class Processor:
         core = self.machine.core
 
         # The defense strategy: one fresh instance per processor (it
-        # may keep per-run state), validated here so every bad
-        # name/config/machine combination fails construction with one
-        # structured DefenseConfigError.
-        self.defense = defense_for_config(self.security)
-        self.defense.validate(self.security, self.machine)
+        # may keep per-run state).
+        self.defense = create_defense(self.security.defense)
 
         if isinstance(program, Program):
             program = self.defense.transform_program(program)
@@ -170,7 +166,8 @@ class Processor:
             self.tpbuf = TPBuf(core.ldq_entries + core.stq_entries)
         self.lsq = LoadStoreQueue(core.ldq_entries, core.stq_entries,
                                   tpbuf=self.tpbuf)
-        self.filters = HazardFilters(self.security, self.tpbuf)
+        #: Counters of the defense's L1D miss filter (judge_suspect_load).
+        self.filter_stats = StatGroup("hazard_filters")
         self.icache_filter = ICacheHitFilter(self.security.icache_filter)
         self.store_buffer = StoreBuffer(core.store_buffer_entries,
                                         self.hierarchy)
@@ -220,8 +217,7 @@ class Processor:
         self._filter_bypass = False
         self.watchdog = ForwardProgressWatchdog(limit=watchdog_cycles)
         self.stats = StatGroup("processor")
-        self.report = SimReport(name="run", mode=self.security.mode,
-                                defense=self.security.defense_name)
+        self.report = SimReport(name="run", defense=self.security.defense)
         # Defense wiring flags, hoisted off the hot paths.
         self._tags_suspect = self.defense.tags_suspect
         self._filters_at_cache = self.defense.filters_at_cache
@@ -1061,7 +1057,7 @@ class Processor:
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,
             self.hierarchy.l3.stats, self.predictor.stats,
-            self.filters.stats, self.iq.matrix.stats, self.itlb.stats,
+            self.filter_stats, self.iq.matrix.stats, self.itlb.stats,
             self.dtlb.stats, self.store_buffer.stats,
             self.icache_filter.stats,
         ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List
 
-from ..core.policy import ProtectionMode
+from ..core.defense import legacy_mode, normalize_defense_name
 from ..stats import safe_div
 
 
@@ -26,11 +26,8 @@ class SimReport:
     """
 
     name: str
-    mode: ProtectionMode
     #: Registry name of the active defense (``repro.core.defense``).
-    #: Equals ``mode.value`` for the four legacy modes; zoo defenses
-    #: keep ``mode`` as their legacy anchor and identify here.
-    defense: str = ""
+    defense: str
     cycles: int = 0
     committed: int = 0
     committed_loads: int = 0
@@ -121,31 +118,30 @@ class SimReport:
     # ---- (de)serialization -------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict (checkpoint rows, exports)."""
+        """JSON-safe dict (checkpoint rows, exports).  The ``"mode"``
+        key carries :func:`~repro.core.defense.legacy_mode` for readers
+        that predate the defense registry."""
         data = asdict(self)
-        data["mode"] = self.mode.value
-        return data
+        return {"name": data.pop("name"),
+                "mode": legacy_mode(self.defense), **data}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimReport":
         """Inverse of :meth:`to_dict`; unknown keys are ignored so old
-        checkpoints stay loadable across report-schema growth."""
+        checkpoints stay loadable across report-schema growth, and a
+        payload without ``"defense"`` is named by its ``"mode"``."""
         fields = {f for f in cls.__dataclass_fields__}
         payload = {k: v for k, v in data.items() if k in fields}
-        payload["mode"] = ProtectionMode(payload["mode"])
-        payload.setdefault("defense", payload["mode"].value)
+        payload["defense"] = normalize_defense_name(
+            data.get("defense") or data["mode"])
         return cls(**payload)
-
-    @property
-    def defense_name(self) -> str:
-        """Canonical defense name (falls back to the legacy mode)."""
-        return self.defense or self.mode.value
 
     # ---- rendering --------------------------------------------------------------
 
     def render(self) -> str:
-        label = f"mode={self.mode.value}"
-        if self.defense and self.defense != self.mode.value:
+        mode = legacy_mode(self.defense)
+        label = f"mode={mode}"
+        if self.defense != mode:
             label += f" defense={self.defense}"
         lines = [
             f"run '{self.name}' {label}",
@@ -179,7 +175,7 @@ def compare_table(reports: List[SimReport], origin: SimReport) -> str:
     for report in reports:
         norm = safe_div(report.cycles, origin.cycles, default=1.0)
         lines.append(
-            f"{report.defense_name:<18}{report.cycles:>10}"
+            f"{report.defense:<18}{report.cycles:>10}"
             f"{norm:>8.3f}{report.ipc:>8.3f}"
         )
     return "\n".join(lines)

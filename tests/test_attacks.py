@@ -59,7 +59,7 @@ class TestSpectreV2:
         assert result.success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT, TPBUF],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.defense)
     def test_defeated_by_all_mechanisms(self, security):
         result = run_attack(build_spectre_v2(), security=security)
         assert not result.success
@@ -71,7 +71,7 @@ class TestSpectreV4:
         assert result.success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT, TPBUF],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.defense)
     def test_defeated_by_all_mechanisms(self, security):
         result = run_attack(build_spectre_v4(), security=security)
         assert not result.success
@@ -163,7 +163,7 @@ class TestNonSharedScenarios:
         assert run_attack(self._prime_probe(), security=TPBUF).success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.defense)
     def test_prime_probe_blocked_by_strict_modes(self, security):
         assert not run_attack(self._prime_probe(),
                               security=security).success
@@ -175,7 +175,7 @@ class TestNonSharedScenarios:
         assert run_attack(self._evict_time(), security=TPBUF).success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.defense)
     def test_evict_time_blocked_by_strict_modes(self, security):
         assert not run_attack(self._evict_time(),
                               security=security).success

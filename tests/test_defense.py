@@ -1,15 +1,18 @@
 """Tests of the Conditional Speculation mechanisms on hand-crafted
 programs: suspect tagging, Baseline issue-blocking, the Cache-hit
 filter and the TPBuf filter, plus the filter-decision logic."""
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
-from repro.core.filters import HazardFilters, MissVerdict
+from repro.core.defense import MissVerdict, create_defense, defense_names
 from repro.core.policy import ProtectionMode
 from repro.core.tpbuf import TPBuf
 from repro.isa import ProgramBuilder
 from repro.memory.replacement import SpeculativeLRUPolicy
+from repro.stats import StatGroup
 
 
 def suspect_scenario_program():
@@ -143,15 +146,33 @@ class TestTPBufFilter:
 
 
 class TestFilterDecisionLogic:
+    """The Table II miss filter, called through the defense hook."""
+
+    class _Core:
+        """The two processor attributes the hook reads."""
+
+        def __init__(self, tpbuf=None):
+            self.filter_stats = StatGroup("hazard_filters")
+            self.tpbuf = tpbuf
+
+    @staticmethod
+    def _judge(name, core, l1_hit, ppn=0x100, tpbuf_index=0):
+        inst = SimpleNamespace(tpbuf_index=tpbuf_index, ppn=ppn)
+        return create_defense(name).judge_suspect_load(core, inst, l1_hit)
+
     def test_hit_always_proceeds(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        decision = filters.judge_suspect_load(True, 0, 0x100)
-        assert decision.verdict is MissVerdict.PROCEED
+        filtering = [name for name in defense_names()
+                     if create_defense(name).filters_at_cache]
+        assert "cache_hit" in filtering and "invisispec" in filtering
+        for name in filtering:
+            core = self._Core()
+            assert self._judge(name, core, True) is MissVerdict.PROCEED
+            assert core.filter_stats.get("filtered_by_cache_hit") == 1
 
     def test_cache_hit_mode_blocks_misses(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        decision = filters.judge_suspect_load(False, 0, 0x100)
-        assert decision.verdict is MissVerdict.BLOCK
+        core = self._Core()
+        assert self._judge("cache_hit", core, False) is MissVerdict.BLOCK
+        assert core.filter_stats.get("blocked_misses") == 1
 
     def test_tpbuf_mode_consults_buffer(self):
         tpbuf = TPBuf(4)
@@ -160,22 +181,25 @@ class TestFilterDecisionLogic:
         tpbuf.set_suspect(0, True)
         tpbuf.set_writeback(0)
         tpbuf.allocate(1)
-        filters = HazardFilters(SecurityConfig.cache_hit_tpbuf(), tpbuf)
-        assert filters.judge_suspect_load(False, 1, 0x100).verdict \
-            is MissVerdict.PROCEED
-        assert filters.judge_suspect_load(False, 1, 0x200).verdict \
-            is MissVerdict.BLOCK
-
-    def test_tpbuf_mode_requires_buffer(self):
-        from repro.core.defense import DefenseConfigError
-        with pytest.raises(DefenseConfigError):
-            HazardFilters(SecurityConfig.cache_hit_tpbuf(), None)
+        core = self._Core(tpbuf)
+        assert self._judge("cache_hit_tpbuf", core, False, ppn=0x100,
+                           tpbuf_index=1) is MissVerdict.PROCEED
+        assert self._judge("cache_hit_tpbuf", core, False, ppn=0x200,
+                           tpbuf_index=1) is MissVerdict.BLOCK
+        assert core.filter_stats.get("filtered_by_tpbuf") == 1
+        assert tpbuf.stats.get("queries") == 2
 
     def test_safe_fraction(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        filters.judge_suspect_load(True, 0, 0)
-        filters.judge_suspect_load(False, 0, 0)
-        assert filters.safe_fraction() == 0.5
+        """SimReport's safe fraction agrees with the hook's counters."""
+        _, report = run_to_halt(suspect_scenario_program(),
+                                machine=tiny_config(),
+                                security=SecurityConfig.cache_hit_tpbuf())
+        counters = report.raw["hazard_filters"]
+        assert counters["suspect_accesses"] > 0
+        safe = (counters.get("filtered_by_cache_hit", 0)
+                + counters.get("filtered_by_tpbuf", 0))
+        assert report.safe_fraction == pytest.approx(
+            safe / counters["suspect_accesses"])
 
 
 class TestLRUPolicies:

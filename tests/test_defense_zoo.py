@@ -12,13 +12,14 @@ from repro.core.defense import (
     DEFENSE_REGISTRY,
     Defense,
     DefenseConfigError,
-    base_mode_for,
     create_defense,
     defense_names,
+    legacy_mode,
     normalize_defense_name,
 )
 from repro.core.policy import ProtectionMode
-from repro.experiments.runner import SweepTask
+from repro.experiments.runner import SweepEngine, SweepResult, SweepRow, \
+    SweepTask
 from repro.isa import ProgramBuilder
 from repro.pipeline.report import SimReport
 
@@ -56,7 +57,6 @@ class TestRegistry:
         assert defense.summary
         assert defense.provenance
         assert defense.kind in ("hardware", "software")
-        assert isinstance(defense.base_mode, ProtectionMode)
         # Every entry must declare its hardware cost (0.0 is a valid
         # declaration; *not implementing it* is not).
         area = defense.area_mm2(tiny_config())
@@ -91,10 +91,23 @@ class TestNaming:
             normalize_defense_name("retpoline")
 
     def test_legacy_names_equal_mode_values(self):
-        """Checkpoint/task-key compatibility hinges on this."""
+        """Checkpoint/task-key compatibility hinges on this, and on the
+        legacy ``"mode"`` every record carries (derived from the
+        wiring flags)."""
         for mode in ProtectionMode:
             assert normalize_defense_name(mode.value) == mode.value
-            assert base_mode_for(mode.value) is mode
+        assert {name: legacy_mode(name) for name in ALL} == {
+            "origin": "origin",
+            "baseline": "baseline",
+            "cache_hit": "cache_hit",
+            "cache_hit_tpbuf": "cache_hit_tpbuf",
+            "delay_on_miss": "origin",
+            "eager_delay": "origin",
+            "delay_on_miss_ss": "origin",
+            "invisispec": "cache_hit",
+            "stt": "cache_hit",
+            "slh": "origin",
+        }
 
 
 class TestPickling:
@@ -105,24 +118,45 @@ class TestPickling:
         config = SecurityConfig.for_defense(name)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
-        assert clone.defense_name == name
+        assert clone.defense == name
 
     @pytest.mark.parametrize("name", ALL)
     def test_sweep_task_round_trips(self, name):
-        task = SweepTask(benchmark="bzip2", mode=base_mode_for(name),
-                         defense=normalize_defense_name(name),
+        task = SweepTask(benchmark="bzip2", defense=name,
                          machine=tiny_config(), scale=0.01)
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.defense_name == name
+        assert clone.defense == name
         assert clone.security == task.security
+
+
+class TestConfigSpellings:
+    @pytest.mark.parametrize("mode", list(ProtectionMode),
+                             ids=lambda mode: mode.value)
+    def test_spellings_give_one_config(self, mode):
+        """Enum member, canonical name, every alias and the named
+        constructor build one config: equal, with equal hashes, also
+        after a pickle round trip."""
+        aliases = [alias for alias, target in DEFENSE_ALIASES.items()
+                   if target == mode.value]
+        spellings = [
+            SecurityConfig(mode=mode),
+            SecurityConfig.for_defense(mode),
+            SecurityConfig.for_defense(mode.value),
+            getattr(SecurityConfig, mode.value)(),
+            *[SecurityConfig.for_defense(alias) for alias in aliases],
+        ]
+        spellings += [pickle.loads(pickle.dumps(c)) for c in spellings]
+        for config in spellings:
+            assert config == spellings[0]
+            assert hash(config) == hash(spellings[0])
+            assert config.defense == mode.value
 
 
 class TestConstructionValidation:
     def test_mismatched_mode_and_defense_rejected(self):
-        bad = SecurityConfig(mode=ProtectionMode.ORIGIN,
-                             defense="cache_hit_tpbuf")
-        with pytest.raises(DefenseConfigError):
-            Processor(zoo_program(), machine=tiny_config(), security=bad)
+        with pytest.raises(DefenseConfigError, match="conflicts"):
+            SecurityConfig(mode=ProtectionMode.ORIGIN,
+                           defense="cache_hit_tpbuf")
 
     def test_software_defense_needs_a_program(self):
         from repro.isa.program import InstructionMemory
@@ -132,10 +166,8 @@ class TestConstructionValidation:
                       security=SecurityConfig.for_defense("slh"))
 
     def test_unknown_defense_rejected_at_construction(self):
-        bad = SecurityConfig(mode=ProtectionMode.ORIGIN,
-                             defense="retpoline")
-        with pytest.raises(DefenseConfigError):
-            Processor(zoo_program(), machine=tiny_config(), security=bad)
+        with pytest.raises(DefenseConfigError, match="registered"):
+            SecurityConfig(defense="retpoline")
 
 
 class TestPipelineRuns:
@@ -148,7 +180,7 @@ class TestPipelineRuns:
                         check_invariants=True)
         report = cpu.run(max_cycles=100_000)
         assert report.halted
-        assert report.defense_name == name
+        assert report.defense == name
 
     @pytest.mark.parametrize("name", ALL)
     def test_architectural_state_matches_origin(self, name):
@@ -168,17 +200,44 @@ class TestReportPlumbing:
             zoo_program(), security=SecurityConfig.for_defense("stt"))
         payload = report.to_dict()
         assert payload["defense"] == "stt"
+        assert list(payload)[:3] == ["name", "mode", "defense"]
+        assert payload["mode"] == "cache_hit"
         clone = SimReport.from_dict(payload)
-        assert clone.defense_name == "stt"
+        assert clone.defense == "stt"
         assert "stt" in clone.render()
 
     def test_legacy_payload_defaults_to_mode(self):
+        """Records written before the defense registry name their
+        defense only by ``"mode"``: a report payload, a checkpoint row
+        and a config JSON."""
+        from repro.config_io import security_from_dict
+
         _, report = run_to_halt(zoo_program(),
                                 security=SecurityConfig.baseline())
         payload = report.to_dict()
         payload.pop("defense", None)
         clone = SimReport.from_dict(payload)
-        assert clone.defense_name == "baseline"
+        assert clone.defense == "baseline"
+        row = SweepRow.from_record({
+            "benchmark": "hmmer", "mode": "cache_hit_tpbuf",
+            "status": "ok", "cycles": 5})
+        assert row.defense == "cache_hit_tpbuf"
+        config = security_from_dict({"mode": "cache_hit",
+                                     "icache_filter": True})
+        assert config == SecurityConfig(defense="cache_hit",
+                                        icache_filter=True)
+
+    def test_zoo_sweep_keeps_every_report(self):
+        """Zoo defenses that share a legacy mode must not overwrite
+        each other: the sweep's one name-keyed view returns all."""
+        zoo = ["cache_hit", "invisispec", "stt"]
+        sweep = SweepEngine(benchmarks=["hmmer"], modes=zoo,
+                            machine=tiny_config(), scale=0.02).run()
+        reports = sweep.reports_by_defense("hmmer")
+        assert sorted(reports) == sorted(zoo)
+        for name, report in reports.items():
+            assert report.defense == name
+        assert not hasattr(SweepResult, "reports_for")
 
 
 class TestServeSubmissions:
@@ -187,7 +246,7 @@ class TestServeSubmissions:
         sub = Submission.from_request({
             "asm": "halt", "mode": "invisispec", "kind": "simulate"})
         assert sub.mode == "invisispec"
-        assert sub.security_config().defense_name == "invisispec"
+        assert sub.security_config().defense == "invisispec"
         aliased = Submission.from_request({
             "asm": "halt", "mode": "tpbuf", "kind": "simulate"})
         assert aliased.mode == "cache_hit_tpbuf"

@@ -118,15 +118,15 @@ def assert_equivalent(program, security):
     assert oracle.halted, "generated program must halt"
     cpu = Processor(program, machine=tiny_config(), security=security)
     report = cpu.run(max_cycles=500_000)
-    assert report.halted, f"core did not halt under {security.mode}"
+    assert report.halted, f"core did not halt under {security.defense}"
     for reg in range(32):
         assert cpu.arch_reg(reg) == oracle.reg(reg), (
-            f"r{reg} mismatch under {security.mode.value}"
+            f"r{reg} mismatch under {security.defense}"
         )
     for word in range(_MEM_WORDS):
         vaddr = _MEM_BASE + word * 8
         assert cpu.read_vword(vaddr) == oracle.mem(vaddr), (
-            f"mem[{vaddr:#x}] mismatch under {security.mode.value}"
+            f"mem[{vaddr:#x}] mismatch under {security.defense}"
         )
     assert report.committed == oracle.retired
     # Microarchitectural invariants must hold at rest too.

@@ -1,10 +1,7 @@
 """Parallel sweep execution: determinism, resume, the single-writer
 lock, and the RunOptions parameter object."""
-import os
-
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.runner import (
     SweepEngine,
@@ -21,7 +18,7 @@ from repro.robustness.checkpoint import (
 from repro.robustness.faults import FaultPlan
 
 BENCHMARKS = ["bzip2", "mcf"]
-MODES = [ProtectionMode.ORIGIN, ProtectionMode.CACHE_HIT_TPBUF]
+MODES = ["origin", "cache_hit_tpbuf"]
 OPTIONS = RunOptions(max_cycles=60_000)
 SCALE = 0.05
 
@@ -63,13 +60,13 @@ class TestSerialParallelDeterminism:
 
     def test_run_tasks_preserves_task_order(self):
         tasks = [
-            SweepTask(benchmark=name, mode=mode, scale=SCALE,
+            SweepTask(benchmark=name, defense=mode, scale=SCALE,
                       options=OPTIONS)
             for name in BENCHMARKS for mode in MODES
         ]
         rows = ParallelSweepExecutor(workers=2).run_tasks(tasks)
-        assert [(r.benchmark, r.mode) for r in rows] == \
-            [(t.benchmark, t.mode) for t in tasks]
+        assert [(r.benchmark, r.defense) for r in rows] == \
+            [(t.benchmark, t.defense) for t in tasks]
 
 
 class TestParallelCheckpointResume:
@@ -136,7 +133,7 @@ class TestSingleWriterInvariant:
 
 class TestSpawnSafety:
     def test_unpicklable_run_fn_fails_with_clear_error(self):
-        task = SweepTask(benchmark="bzip2", mode=ProtectionMode.ORIGIN,
+        task = SweepTask(benchmark="bzip2", defense="origin",
                          scale=SCALE, options=OPTIONS,
                          run_fn=lambda *a, **k: None)
         executor = ParallelSweepExecutor(workers=2)
@@ -150,7 +147,7 @@ class TestSpawnSafety:
             ParallelSweepExecutor(workers=4, max_in_flight=2)
 
     def test_worker_failure_degrades_to_row(self):
-        task = SweepTask(benchmark="nope", mode=ProtectionMode.ORIGIN,
+        task = SweepTask(benchmark="nope", defense="origin",
                          options=OPTIONS, retries=0)
         rows = ParallelSweepExecutor(workers=2).run_tasks([task])
         assert len(rows) == 1 and not rows[0].ok

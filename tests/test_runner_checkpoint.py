@@ -5,23 +5,22 @@ import json
 
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.errors import SimulationError
 from repro.experiments.runner import SweepEngine, SweepRow
 from repro.pipeline.report import SimReport
 from repro.robustness.checkpoint import CheckpointError, CheckpointStore
 
-_MODES = (ProtectionMode.ORIGIN, ProtectionMode.BASELINE)
+_MODES = ("origin", "baseline")
 
 
-def _fake_report(name, mode, cycles=1000):
-    return SimReport(name=name, mode=mode, cycles=cycles,
+def _fake_report(name, defense, cycles=1000):
+    return SimReport(name=name, defense=defense, cycles=cycles,
                      committed=cycles // 2, halted=True,
                      termination="halt")
 
 
 def _fake_run(name, security=None, **_kwargs):
-    return _fake_report(name, security.mode)
+    return _fake_report(name, security.defense)
 
 
 class TestCheckpointStore:
@@ -174,7 +173,7 @@ class TestSweepEngine:
         result = self._engine(tmp_path).run()
         assert len(result.rows) == 4
         assert not result.failures
-        report = result.report_for("alpha", ProtectionMode.ORIGIN)
+        report = result.report_for("alpha", "origin")
         assert report is not None and report.cycles == 1000
 
     def test_killed_sweep_resumes_without_rerunning(self, tmp_path):
@@ -183,8 +182,8 @@ class TestSweepEngine:
         def crashing(name, security=None, **kwargs):
             if len(calls) == 2:
                 raise KeyboardInterrupt  # simulated Ctrl-C / kill
-            calls.append((name, security.mode.value))
-            return _fake_report(name, security.mode)
+            calls.append((name, security.defense))
+            return _fake_report(name, security.defense)
 
         engine = self._engine(tmp_path, run_fn=crashing)
         with pytest.raises(KeyboardInterrupt):
@@ -194,8 +193,8 @@ class TestSweepEngine:
         resumed_calls = []
 
         def counting(name, security=None, **kwargs):
-            resumed_calls.append((name, security.mode.value))
-            return _fake_report(name, security.mode)
+            resumed_calls.append((name, security.defense))
+            return _fake_report(name, security.defense)
 
         engine2 = self._engine(tmp_path, run_fn=counting, resume=True)
         result = engine2.run()
@@ -203,7 +202,7 @@ class TestSweepEngine:
         assert result.resumed == 2
         # Only the two pairs lost to the crash re-ran.
         assert sorted(resumed_calls) == sorted(
-            set((b, m.value) for b in ("alpha", "beta") for m in _MODES)
+            set((b, m) for b in ("alpha", "beta") for m in _MODES)
             - set(calls)
         )
 
@@ -211,7 +210,7 @@ class TestSweepEngine:
         def flaky(name, security=None, **kwargs):
             if name == "alpha":
                 raise SimulationError("boom")
-            return _fake_report(name, security.mode)
+            return _fake_report(name, security.defense)
 
         result = self._engine(tmp_path, run_fn=flaky, retries=0).run()
         assert len(result.rows) == 4
@@ -221,17 +220,17 @@ class TestSweepEngine:
             assert row.error_type == "SimulationError"
             assert row.error == "boom"
         # beta still succeeded
-        assert result.report_for("beta", ProtectionMode.ORIGIN) is not None
+        assert result.report_for("beta", "origin") is not None
 
     def test_transient_failure_retries_then_succeeds(self, tmp_path):
         attempts = {}
 
         def transient(name, security=None, **kwargs):
-            key = (name, security.mode)
+            key = (name, security.defense)
             attempts[key] = attempts.get(key, 0) + 1
             if attempts[key] == 1:
                 raise SimulationError("transient")
-            return _fake_report(name, security.mode)
+            return _fake_report(name, security.defense)
 
         result = self._engine(tmp_path, run_fn=transient, retries=2).run()
         assert not result.failures
@@ -241,19 +240,19 @@ class TestSweepEngine:
         engine = self._engine(tmp_path)
         engine.run()
         result = self._engine(tmp_path, resume=True).run()
-        row = result.row("alpha", ProtectionMode.BASELINE)
+        row = result.row("alpha", "baseline")
         assert row.resumed
         assert row.report is not None
-        assert row.report.mode is ProtectionMode.BASELINE
+        assert row.report.defense == "baseline"
         assert row.report.termination == "halt"
 
     def test_sweep_row_record_round_trip(self):
-        row = SweepRow(benchmark="x", mode=ProtectionMode.ORIGIN,
+        row = SweepRow(benchmark="x", defense="origin",
                        status="ok", termination="halt", cycles=5,
                        committed=2, attempts=1, duration_s=0.5,
-                       report=_fake_report("x", ProtectionMode.ORIGIN))
+                       report=_fake_report("x", "origin"))
         back = SweepRow.from_record(row.to_record())
-        assert back.benchmark == "x" and back.mode is ProtectionMode.ORIGIN
+        assert back.benchmark == "x" and back.defense == "origin"
         assert back.resumed and back.report.cycles == 1000
 
     def test_real_single_pair_sweep(self, tmp_path):
@@ -262,7 +261,7 @@ class TestSweepEngine:
         from repro.params import tiny_config
 
         engine = SweepEngine(benchmarks=["hmmer"],
-                             modes=[ProtectionMode.ORIGIN],
+                             modes=["origin"],
                              machine=tiny_config(), scale=0.05,
                              checkpoint=str(tmp_path / "real.jsonl"))
         result = engine.run()
