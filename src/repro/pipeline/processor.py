@@ -6,11 +6,20 @@ containing several) on the machine described by
 :class:`~repro.params.MachineParams`, under the Conditional Speculation
 policy described by :class:`~repro.core.policy.SecurityConfig`.
 
-The pipeline is cycle-driven.  Each cycle, in order: fire deferred
-events (FU/cache completions, branch resolution), apply the oldest
-pending squash, commit, replay waiting memory operations, issue,
-dispatch, fetch, then apply the security matrix's staged column clears
-and tick the store buffer.
+The pipeline is cycle-accurate but event-skipping.  :meth:`Processor.step`
+advances exactly one cycle, in order: fire deferred events (FU/cache
+completions, branch resolution), apply the oldest pending squash,
+commit, replay waiting memory operations, issue, dispatch, fetch, then
+apply the security matrix's staged column clears and tick the store
+buffer.  :meth:`Processor.run` steps until a cycle changes nothing but
+stall counters (an *idle* cycle: nothing fired, squashed, committed,
+issued, dispatched or fetched, the store buffer neither popped nor
+started a drain, and no load waits for replay).  Every following cycle repeats it until the next
+wake-up (an event, a fetch/dispatch/commit/store-buffer threshold, a
+watchdog or poll deadline, or the cycle budget), so ``run`` jumps there
+and adds the idle cycle's counter deltas once per skipped cycle.  The
+result is cycle-exact with stepping every cycle; fault-injected runs
+(whose injector draws randomness every cycle) never skip.
 
 Fidelity notes (also in DESIGN.md):
 
@@ -194,6 +203,9 @@ class Processor:
         self._stores_waiting_data: List[DynInst] = []
         self._commit_stall_until = 0
         self._last_commit_cycle = 0
+        #: Cycles ``run`` jumped over instead of stepping (diagnostic
+        #: only: never part of the report, so digests stay put).
+        self.skipped_cycles = 0
 
         self.tracer = tracer
         #: Debug flag: run the structural invariant lint every cycle
@@ -254,6 +266,10 @@ class Processor:
         budget; when it returns ``True`` the run stops cooperatively
         with ``termination="cancelled"`` (``raise_on_budget`` turns
         that into :class:`~repro.errors.RunCancelled`).
+
+        Quiescent stretches are jumped over rather than stepped (see
+        the module docstring); :attr:`skipped_cycles` counts them.  The
+        report is the same as stepping every cycle would give.
         """
         resolved = RunOptions.coerce(
             options if options is not None else self.options,
@@ -267,10 +283,26 @@ class Processor:
         if wall_clock_budget is not None:
             deadline = time.monotonic() + wall_clock_budget
         budget = ""
+        # Next poll cycle: the first multiple of the poll period ahead
+        # (without a poll, only the budget bounds a skip).
+        next_poll = max_cycles
         poll = deadline is not None or cancel_check is not None
+        if poll:
+            next_poll = (self.cycle // _WALL_CLOCK_POLL_CYCLES + 1) \
+                * _WALL_CLOCK_POLL_CYCLES
+        # Fault injection draws randomness every cycle: never skip.
+        skip = self.faults is None
+        last_activity = None
         while not self.halted and self.cycle < max_cycles:
             self.step()
-            if poll and self.cycle % _WALL_CLOCK_POLL_CYCLES == 0:
+            if skip:
+                activity = self._activity()
+                if activity is not None and activity == last_activity:
+                    self._skip_idle(min(max_cycles, next_poll))
+                    activity = self._activity()
+                last_activity = activity
+            if poll and self.cycle >= next_poll:
+                next_poll += _WALL_CLOCK_POLL_CYCLES
                 if cancel_check is not None and cancel_check():
                     budget = "cancelled"
                     break
@@ -317,6 +349,78 @@ class Processor:
         if self.check_invariants:
             check_processor_invariants(self)
         self.watchdog.observe(self)
+
+    # ---- idle-cycle skipping -----------------------------------------------
+
+    def _activity(self) -> Optional[tuple]:
+        """Everything an idle cycle leaves unchanged; two equal values
+        around a step mean the step was idle.  ``None`` (never equal)
+        while loads wait for replay: each retry re-runs the cache stage.
+        A store waiting for its data only polls a ready bit, which only
+        events set, and leaves the list when it captures the data, so
+        the list's length is enough."""
+        if self._load_replay:
+            return None
+        events = self.events
+        report = self.report
+        return (
+            events.fired, events.pending, report.squashes,
+            report.committed, self.stats.get("issued"), self._seq,
+            len(self._fetch_buffer), self.fetch_pc,
+            self._fetch_stall_until, self._halt_in_fetch,
+            len(self.store_buffer), self.store_buffer.drain_done_cycle,
+            len(self._stores_waiting_data),
+        )
+
+    def _wake_cycle(self, horizon: int) -> int:
+        """The first cycle after an idle one at which something can
+        change: the earliest future threshold, capped at ``horizon``."""
+        cycle = self.cycle
+        wake = horizon
+        head = self._fetch_buffer[0].ready_cycle \
+            if self._fetch_buffer else None
+        for due in (self.events.next_cycle(), self._fetch_stall_until,
+                    head, self._commit_stall_until,
+                    self.store_buffer.drain_done_cycle,
+                    self.watchdog.wake_cycle(self)):
+            if due is not None and cycle < due < wake:
+                wake = due
+        return wake
+
+    def _skip_idle(self, horizon: int) -> None:
+        """Jump over the quiescent stretch that follows an idle step.
+
+        Until the wake cycle every cycle repeats the idle one, so one
+        more real step measures the per-cycle counter deltas and the
+        rest of the stretch is credited in one go, leaving the machine
+        exactly where stepping would.
+        """
+        wake = self._wake_cycle(horizon)
+        if wake - self.cycle < 3:
+            return  # nothing left to skip after the measuring step
+        groups = self._stat_groups()
+        before = [group.as_dict() for group in groups]
+        report = self.report
+        blocks = report.block_events
+        icache_stalls = report.icache_stall_cycles
+        residents = [(inst, inst.block_events) for inst in self.iq]
+        activity = self._activity()
+        self.step()
+        if self._activity() != activity:
+            return  # not a repeat after all: stepped, nothing skipped
+        skipped = wake - 1 - self.cycle
+        for group, old in zip(groups, before):
+            for key, value in group.as_dict().items():
+                delta = value - old.get(key, 0)
+                if delta:
+                    group.incr(key, delta * skipped)
+        report.block_events += (report.block_events - blocks) * skipped
+        report.icache_stall_cycles += \
+            (report.icache_stall_cycles - icache_stalls) * skipped
+        for inst, old_blocks in residents:
+            inst.block_events += (inst.block_events - old_blocks) * skipped
+        self.cycle = wake - 1
+        self.skipped_cycles += skipped
 
     # ---- architectural inspection helpers ---------------------------------
 
@@ -1053,6 +1157,11 @@ class Processor:
         if self.tpbuf is not None:
             report.tpbuf_queries = self.tpbuf.stats.get("queries")
             report.tpbuf_safe = self.tpbuf.stats.get("safe")
+        report.raw = combine(self._stat_groups())
+        return report
+
+    def _stat_groups(self) -> List[StatGroup]:
+        """Every counter group the report gathers, in report order."""
         groups = [
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,
@@ -1063,5 +1172,4 @@ class Processor:
         ]
         if self.tpbuf is not None:
             groups.append(self.tpbuf.stats)
-        report.raw = combine(groups)
-        return report
+        return groups

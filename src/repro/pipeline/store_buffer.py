@@ -36,6 +36,11 @@ class StoreBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def drain_done_cycle(self) -> Optional[int]:
+        """Cycle at which the in-flight drain retires (None when idle)."""
+        return self._drain_done_cycle
+
     def push(self, paddr: int) -> None:
         """Accept a committed store (caller must check ``full``)."""
         assert not self.full, "store buffer overflow"

@@ -142,6 +142,10 @@ class ForwardProgressWatchdog:
             or max(1, self.limit // 8)
         self.history = history
         self.snapshots: List[OccupancySnapshot] = []
+        #: Cycle of the next periodic sample (a multiple of the
+        #: interval); compared with ``>=`` so a processor that jumps
+        #: over idle cycles can never step past it unsampled.
+        self.next_snapshot = self.snapshot_interval
 
     def snapshot(self, cpu: "Processor") -> OccupancySnapshot:
         snap = OccupancySnapshot(
@@ -186,10 +190,18 @@ class ForwardProgressWatchdog:
             snapshots=list(self.snapshots),
         )
 
+    def wake_cycle(self, cpu: "Processor") -> int:
+        """First cycle at which :meth:`observe` acts: the next sample or
+        the deadlock trip, whichever comes first."""
+        return min(self.next_snapshot,
+                   cpu._last_commit_cycle + self.limit + 1)
+
     def observe(self, cpu: "Processor") -> None:
         """Called once per cycle from :meth:`Processor.step`."""
-        if cpu.cycle % self.snapshot_interval == 0:
+        if cpu.cycle >= self.next_snapshot:
             self.snapshot(cpu)
+            interval = self.snapshot_interval
+            self.next_snapshot = (cpu.cycle // interval + 1) * interval
         if cpu.cycle - cpu._last_commit_cycle > self.limit:
             diagnostics = self.diagnose(cpu)
             cpu.report.termination = "deadlock"

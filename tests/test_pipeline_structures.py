@@ -339,3 +339,31 @@ class TestStoreBufferAndEvents:
         events.schedule(1, lambda: None)
         events.clear()
         assert events.fire(1) == 0
+        assert events.pending == 0
+        assert events.next_cycle() is None
+
+    def test_event_queue_same_cycle_runs_in_schedule_order(self):
+        events = EventQueue()
+        fired = []
+        for tag in "abcde":
+            events.schedule(4, lambda tag=tag: fired.append(tag))
+        events.schedule(2, lambda: fired.append("early"))
+        assert events.fire(3) == 1
+        assert events.fire(4) == 5
+        assert fired == ["early", "a", "b", "c", "d", "e"]
+        assert events.fired == 6
+
+    def test_event_queue_next_cycle_and_pending(self):
+        events = EventQueue()
+        assert events.next_cycle() is None
+        for cycle in (9, 3, 7, 3):
+            events.schedule(cycle, lambda: None)
+        assert events.pending == 4
+        assert events.next_cycle() == 3
+        events.fire(3)
+        assert (events.pending, events.next_cycle()) == (2, 7)
+        events.fire(8)  # overdue events still run, oldest first
+        assert (events.pending, events.next_cycle()) == (1, 9)
+        events.fire(9)
+        assert (events.pending, events.next_cycle(), events.fired) \
+            == (0, None, 4)
